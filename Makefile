@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: tier1 build test race stress crash fuzz vet bench-smoke check-bench-exec bench-train bench-drive bench-exec bench-partition bench-server check-bench-server bench-compress check-bench-compress bench-repl check-bench-repl
+.PHONY: tier1 build test race stress crash fuzz vet bench-smoke perfbench-test check-bench-exec bench-train bench-drive bench-exec bench-partition bench-server check-bench-server bench-compress check-bench-compress bench-repl check-bench-repl
 
 # tier1 is the full pre-merge gate: static checks, build, the whole test
 # suite under the race detector (including the internal/check concurrency
 # and crash-recovery harness matrices), short parser and WAL-deserializer
-# fuzz passes, and a one-iteration run of the execution-pipeline benchmarks
-# so they cannot rot between bench-exec runs.
-tier1: vet build race fuzz bench-smoke
+# fuzz passes, a one-iteration run of the execution-pipeline benchmarks
+# so they cannot rot between bench-exec runs, and the repository
+# benchmark's own tests.
+tier1: vet build race fuzz bench-smoke perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -45,6 +46,14 @@ bench-smoke:
 	@$(MAKE) --no-print-directory check-bench-exec
 	@$(MAKE) --no-print-directory check-bench-compress
 	@$(MAKE) --no-print-directory check-bench-repl
+
+# perfbench-test runs the tests of the repository benchmark's separate Go
+# module (perfbench/): a tiny-size smoke of every workload in both trace
+# modes, including forecast_100k's Assigned()/Len() clustering checks, and
+# the injected-damage tests that prove each workload's checks fire. Runs
+# offline in about 20 s.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # check-bench-exec fails unless BENCH_exec.json covers all three
 # planner-selectable execution modes (plus the unfused compiled ablation),

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mb2/internal/catalog"
 	"mb2/internal/engine"
 	"mb2/internal/index"
 	"mb2/internal/storage"
@@ -198,5 +199,51 @@ func TestInjectedBalanceCorruptionDetected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "conservation") || !strings.Contains(err.Error(), "seed=5") {
 		t.Errorf("failure not attributed to conservation with the seed: %v", err)
+	}
+}
+
+// TestDeleteKeepsIndexEntriesForOlderSnapshots pins snapshot reads through
+// the primary-key indexes across a committed delete: a snapshot opened
+// before the delete still finds the customer in all three tables, and the
+// index entries go only once that snapshot has finished.
+func TestDeleteKeepsIndexEntriesForOlderSnapshots(t *testing.T) {
+	h := &harness{cfg: Config{Seed: 1, Workers: 1, Accounts: 4}, db: engine.Open(catalog.DefaultKnobs())}
+	if err := h.setup(); err != nil {
+		t.Fatal(err)
+	}
+	a := h.pickAccount(0)
+	key := index.EncodeKey(storage.NewInt(a.id))
+	lookups := []struct {
+		tbl *storage.Table
+		idx string
+	}{{h.accT, "accounts_pk"}, {h.savT, "savings_pk"}, {h.chkT, "checking_pk"}}
+	// count returns how many index entries exist for the customer and how
+	// many of their rows st can read.
+	count := func(st *txnState) (entries, visible int) {
+		for _, l := range lookups {
+			for _, row := range h.db.Index(l.idx).SearchEQ(nil, key, 1) {
+				entries++
+				if _, ok, err := h.readRow(st, l.tbl, row); err != nil {
+					t.Fatal(err)
+				} else if ok {
+					visible++
+				}
+			}
+		}
+		return entries, visible
+	}
+
+	old := h.begin()
+	if err := h.opDelete(Op{Kind: OpDelete, B: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, visible := count(old); visible != 3 {
+		t.Fatalf("snapshot from before the delete reads custid %d in %d of 3 tables", a.id, visible)
+	}
+	if err := h.commit(old); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := count(h.begin()); entries != 0 {
+		t.Fatalf("%d index entries for deleted custid %d remain after every older snapshot finished", entries, a.id)
 	}
 }

@@ -60,7 +60,7 @@ type Config struct {
 type Report struct {
 	Seed         int64
 	Workers      int
-	Partitions   int // hash partitions per table (1 = unpartitioned)
+	Partitions   int    // hash partitions per table (1 = unpartitioned)
 	Commits      uint64 // committed transactions (including read-only)
 	Aborts       uint64 // rolled-back transactions (deliberate + conflict)
 	Conflicts    uint64 // first-updater-wins write-write conflicts hit
@@ -87,6 +87,12 @@ type ledgerEntry struct {
 	delta float64
 }
 
+// pendingRemoval is one index-entry removal of a delete committed at ts.
+type pendingRemoval struct {
+	ts     uint64
+	remove func()
+}
+
 type harness struct {
 	cfg Config
 	db  *engine.DB
@@ -103,6 +109,12 @@ type harness struct {
 	commitMu sync.Mutex
 	ledgerMu sync.Mutex
 	ledger   []ledgerEntry
+
+	// removals holds committed deletes' index-entry removals in commit
+	// order until no snapshot that predates the delete is still active
+	// (see reapRemovals).
+	removalMu sync.Mutex
+	removals  []pendingRemoval
 
 	commits, aborts, conflicts atomic.Uint64
 	gcRuns, flushes            atomic.Uint64
@@ -149,6 +161,7 @@ func Run(cfg Config) (*Report, error) {
 		if err := h.runPhase(sched, lo, lo+cfg.OpsPerWorker); err != nil {
 			return nil, h.fail(phase, "workload", err)
 		}
+		h.reapRemovals() // quiesced: no snapshot is active, every removal is due
 		if phase == 0 {
 			if err := h.buildNameIndex(); err != nil {
 				return nil, h.fail(phase, "index-build", err)
@@ -325,15 +338,39 @@ func (h *harness) commit(st *txnState) error {
 		h.ledger = append(h.ledger, ledgerEntry{ts: ts, delta: st.delta})
 		h.ledgerMu.Unlock()
 	}
+	if err == nil && len(st.postCommit) > 0 {
+		h.removalMu.Lock()
+		for _, f := range st.postCommit {
+			h.removals = append(h.removals, pendingRemoval{ts: ts, remove: f})
+		}
+		h.removalMu.Unlock()
+	}
 	h.commitMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("commit: %w", err)
 	}
-	for _, f := range st.postCommit {
-		f()
-	}
+	h.reapRemovals()
 	h.commits.Add(1)
 	return nil
+}
+
+// reapRemovals runs the deferred index-entry removals that no active
+// snapshot can need: a snapshot older than a delete's commit timestamp
+// still reads the deleted row, and finds it only through its index entry.
+// Commits queue removals in timestamp order, so the due ones are a prefix.
+func (h *harness) reapRemovals() {
+	upTo := h.db.Txns.OldestActiveTS()
+	h.removalMu.Lock()
+	n := 0
+	for n < len(h.removals) && h.removals[n].ts <= upTo {
+		n++
+	}
+	due := h.removals[:n:n]
+	h.removals = h.removals[n:]
+	h.removalMu.Unlock()
+	for _, r := range due {
+		r.remove()
+	}
 }
 
 func (h *harness) abort(st *txnState) error {
@@ -384,8 +421,9 @@ func (h *harness) insertRow(st *txnState, tbl *storage.Table, data storage.Tuple
 }
 
 // deleteRow tombstones a row and defers index-entry removal until after
-// commit (an aborted delete must leave the entries in place; readers that
-// race the post-commit removal just see the tombstone through the entry).
+// commit (an aborted delete must leave the entries in place), and then
+// until every snapshot older than the commit has finished (reapRemovals);
+// readers that race the removal just see the tombstone through the entry.
 func (h *harness) deleteRow(st *txnState, tbl *storage.Table, row storage.RowID, data storage.Tuple) error {
 	if err := tbl.Delete(nil, row, st.tx.ID, st.tx.ReadTS); err != nil {
 		return err

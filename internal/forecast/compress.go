@@ -27,12 +27,12 @@ const DefaultClusterTolerance = 0.25
 
 // clusterInfo is one cluster's state: the leader (first member, whose
 // representative plan stands in for every member at forecast and planning
-// time), its identity key, and the member roster in assignment order.
+// time), its identity key, and how many templates it holds.
 type clusterInfo struct {
 	leader  string
 	fp      uint64
 	feat    []float64
-	members []string
+	members int
 }
 
 // Clusterer assigns query templates to a bounded set of clusters with
@@ -50,12 +50,18 @@ type clusterInfo struct {
 // There is no randomness anywhere in the path: identical registration
 // sequences yield identical cluster IDs, which is what keeps seeded drive
 // replays bit-for-bit stable. A Clusterer is safe for concurrent use.
+//
+// Every assigned template also gets a dense ordinal — its position in
+// assignment order — so per-template state elsewhere (the clustered
+// History's fan-out weights) can live in slices instead of string-keyed
+// maps. Assignments are permanent, so ordinals and clusterOf only grow.
 type Clusterer struct {
 	mu        sync.Mutex
 	max       int
 	tolerance float64
 	byFP      map[uint64]int
-	assign    map[string]int
+	ordinal   map[string]int32 // template name → assignment-order ordinal
+	clusterOf []int32          // ordinal → cluster ID
 	clusters  []clusterInfo
 }
 
@@ -73,7 +79,7 @@ func NewClusterer(maxClusters int, tolerance float64) *Clusterer {
 		max:       maxClusters,
 		tolerance: tolerance,
 		byFP:      make(map[uint64]int),
-		assign:    make(map[string]int),
+		ordinal:   make(map[string]int32),
 	}
 }
 
@@ -91,7 +97,7 @@ func (c *Clusterer) Len() int {
 func (c *Clusterer) Assigned() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.assign)
+	return len(c.clusterOf)
 }
 
 // Assign registers a template under its plan fingerprint and feature
@@ -102,8 +108,26 @@ func (c *Clusterer) Assigned() int {
 func (c *Clusterer) Assign(name string, fp uint64, feat []float64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id, ok := c.assign[name]; ok {
-		return id
+	return int(c.clusterOf[c.assignLocked(name, fp, feat)])
+}
+
+// AssignOrphan registers a template that has no plan: the fingerprint is
+// derived from the name, the feature vector is empty. Used for template
+// names that surface in observations before any plan is known.
+func (c *Clusterer) AssignOrphan(name string) int {
+	return c.Assign(name, orphanFingerprint(name), nil)
+}
+
+func orphanFingerprint(name string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return h.Sum64()
+}
+
+// assignLocked is Assign under c.mu; it returns the template's ordinal.
+func (c *Clusterer) assignLocked(name string, fp uint64, feat []float64) int32 {
+	if ord, ok := c.ordinal[name]; ok {
+		return ord
 	}
 	id, founded := c.place(fp, feat)
 	if founded {
@@ -112,18 +136,11 @@ func (c *Clusterer) Assign(name string, fp uint64, feat []float64) int {
 		})
 		c.byFP[fp] = id
 	}
-	c.assign[name] = id
-	c.clusters[id].members = append(c.clusters[id].members, name)
-	return id
-}
-
-// AssignOrphan registers a template that has no plan: the fingerprint is
-// derived from the name, the feature vector is empty. Used for template
-// names that surface in observations before any plan is known.
-func (c *Clusterer) AssignOrphan(name string) int {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return c.Assign(name, h.Sum64(), nil)
+	ord := int32(len(c.clusterOf))
+	c.ordinal[name] = ord
+	c.clusterOf = append(c.clusterOf, int32(id))
+	c.clusters[id].members++
+	return ord
 }
 
 // place picks the cluster a new key lands in; founded reports that the ID
@@ -154,8 +171,11 @@ func (c *Clusterer) place(fp uint64, feat []float64) (id int, founded bool) {
 func (c *Clusterer) Lookup(name string) (int, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id, ok := c.assign[name]
-	return id, ok
+	ord, ok := c.ordinal[name]
+	if !ok {
+		return 0, false
+	}
+	return int(c.clusterOf[ord]), true
 }
 
 // Leader returns the representative template of a cluster ("" for an
@@ -169,26 +189,15 @@ func (c *Clusterer) Leader(id int) string {
 	return c.clusters[id].leader
 }
 
-// MemberCount returns a cluster's roster size without copying it (0 for an
-// unknown ID) — the hot-path alternative to len(Members(id)).
+// MemberCount returns how many templates a cluster holds (0 for an unknown
+// ID).
 func (c *Clusterer) MemberCount(id int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if id < 0 || id >= len(c.clusters) {
 		return 0
 	}
-	return len(c.clusters[id].members)
-}
-
-// Members returns a copy of a cluster's member roster in assignment order
-// (nil for an unknown ID). The leader is always members[0].
-func (c *Clusterer) Members(id int) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id < 0 || id >= len(c.clusters) {
-		return nil
-	}
-	return append([]string(nil), c.clusters[id].members...)
+	return c.clusters[id].members
 }
 
 // featureDistance is the normalized Euclidean distance between two feature

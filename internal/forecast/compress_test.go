@@ -91,27 +91,40 @@ func TestClustererMembersRoundTrip(t *testing.T) {
 	for i, n := range names {
 		c.Assign(n, uint64(i%2+1), feat(float64(100+i)))
 	}
-	seen := map[string]bool{}
-	for id := 0; id < c.Len(); id++ {
-		members := c.Members(id)
-		if len(members) == 0 {
-			t.Fatalf("cluster %d has no members", id)
+	checkClusterInvariants(t, c, names)
+}
+
+// checkClusterInvariants checks the clusterer's structural contract over
+// the given assigned names: every name looks up to a live cluster, every
+// leader looks up to its own cluster, member counts sum to Assigned(), and
+// each cluster's count matches the names that look up to it.
+func checkClusterInvariants(t *testing.T, c *Clusterer, names []string) {
+	t.Helper()
+	perCluster := make(map[int]int)
+	for _, name := range names {
+		id, ok := c.Lookup(name)
+		if !ok || id < 0 || id >= c.Len() {
+			t.Fatalf("assigned %q looks up as (%d,%v) with %d live clusters", name, id, ok, c.Len())
 		}
-		if c.Leader(id) != members[0] {
-			t.Fatalf("cluster %d leader %q != members[0] %q", id, c.Leader(id), members[0])
-		}
-		for _, m := range members {
-			got, ok := c.Lookup(m)
-			if !ok || got != id {
-				t.Fatalf("member %q of cluster %d looks up as (%d,%v)", m, id, got, ok)
-			}
-			seen[m] = true
-		}
+		perCluster[id]++
 	}
-	for _, n := range names {
-		if !seen[n] {
-			t.Fatalf("template %q missing from every member roster", n)
+	total := 0
+	for id := 0; id < c.Len(); id++ {
+		leader := c.Leader(id)
+		if got, ok := c.Lookup(leader); !ok || got != id {
+			t.Fatalf("cluster %d leader %q looks up as (%d,%v)", id, leader, got, ok)
 		}
+		n := c.MemberCount(id)
+		if n < 1 {
+			t.Fatalf("live cluster %d has MemberCount %d", id, n)
+		}
+		if n != perCluster[id] {
+			t.Fatalf("cluster %d MemberCount = %d, but %d names look up to it", id, n, perCluster[id])
+		}
+		total += n
+	}
+	if total != c.Assigned() {
+		t.Fatalf("member counts sum to %d, Assigned() = %d", total, c.Assigned())
 	}
 }
 

@@ -30,11 +30,14 @@ type History struct {
 
 	// Clustered mode (NewClusteredHistory): per-cluster series replace the
 	// per-template series above, and per-template state shrinks to one
-	// recency-weighted fan-out weight. See clustered.go.
+	// recency-weighted fan-out weight. Per-template slices are indexed by
+	// the Clusterer's assignment ordinal. See clustered.go.
 	clusterer     *Clusterer
 	clusterCounts [][]float64
-	weights       map[string]float64
 	clusterWeight []float64
+	weights       []float64 // fan-out weight per template ordinal
+	pending       []float64 // Append's staged count per ordinal; zero between calls
+	sums          []float64 // Append's per-cluster scratch
 	wScale        float64
 }
 

@@ -8,7 +8,9 @@ import (
 // FuzzClusterAssign drives a bounded clusterer with arbitrary
 // fingerprint/feature streams and checks the structural invariants: every
 // template is assigned, the K bound is hard, every assignment is stable on
-// re-registration, and the member rosters round-trip through Lookup.
+// re-registration, and Lookup, Leader and MemberCount agree: every name
+// looks up to a live cluster, every leader to its own cluster, and member
+// counts sum to Assigned().
 func FuzzClusterAssign(f *testing.F) {
 	f.Add(uint8(4), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(1), []byte{0, 0, 0, 0})
@@ -42,31 +44,13 @@ func FuzzClusterAssign(f *testing.F) {
 		if c.Assigned() != len(ids) {
 			t.Fatalf("Assigned() = %d, want %d", c.Assigned(), len(ids))
 		}
-		// Round trip: every assignment appears in exactly one roster, and
-		// every roster member looks up to that roster's cluster.
-		seen := make(map[string]int)
-		for id := 0; id < c.Len(); id++ {
-			members := c.Members(id)
-			if len(members) == 0 {
-				t.Fatalf("live cluster %d has no members", id)
-			}
-			if c.Leader(id) != members[0] {
-				t.Fatalf("cluster %d leader %q != first member %q", id, c.Leader(id), members[0])
-			}
-			for _, m := range members {
-				if prev, dup := seen[m]; dup {
-					t.Fatalf("%q appears in rosters %d and %d", m, prev, id)
-				}
-				seen[m] = id
-				if got, ok := c.Lookup(m); !ok || got != id {
-					t.Fatalf("roster member %q looks up as (%d,%v), want (%d,true)", m, got, ok, id)
-				}
-			}
-		}
+		names := make([]string, 0, len(ids))
 		for name, id := range ids {
-			if seen[name] != id {
-				t.Fatalf("%q assigned to %d but rostered in %d", name, id, seen[name])
+			if got, ok := c.Lookup(name); !ok || got != id {
+				t.Fatalf("%q assigned to %d but looks up as (%d,%v)", name, id, got, ok)
 			}
+			names = append(names, name)
 		}
+		checkClusterInvariants(t, c, names)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -277,11 +278,16 @@ func clusterFeatures(db *engine.DB, n plan.Node) []float64 {
 
 // registerTemplates assigns any unregistered observed template to a
 // cluster, in sorted-name order so founding decisions are deterministic.
+// Only the new names are sorted: O(new·log new), not the population.
 func (sc *scenario) registerTemplates(c *forecast.Clusterer, db *engine.DB, counts map[string]float64) {
-	for _, name := range sortedTemplates(counts) {
-		if _, ok := c.Lookup(name); ok {
-			continue
+	var fresh []string
+	for name := range counts {
+		if _, ok := c.Lookup(name); !ok {
+			fresh = append(fresh, name)
 		}
+	}
+	sort.Strings(fresh)
+	for _, name := range fresh {
 		if rep, ok := sc.repFor(name, nil); ok {
 			c.Assign(name, plan.Fingerprint(rep), clusterFeatures(db, rep))
 		} else {

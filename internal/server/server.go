@@ -177,6 +177,9 @@ func (s *Server) handleConn(conn Conn) {
 			}
 			err = reply(conn, MsgKillOK, encodeKillOK(s.reg.Kill(id, nil)))
 		case MsgClose:
+			// Leave the process list before acknowledging, so a client
+			// that has seen MsgBye never finds its session still listed.
+			sess.Close()
 			_ = reply(conn, MsgBye, nil)
 			return
 		default:
