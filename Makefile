@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race stress crash fuzz vet bench-smoke perfbench-test check-bench-exec bench-train bench-drive bench-exec bench-partition bench-server check-bench-server bench-compress check-bench-compress bench-repl check-bench-repl
+.PHONY: tier1 build test race stress crash fuzz vet bench-smoke perfbench-test check-bench bench-train bench-drive bench-exec bench-partition bench-server bench-compress bench-repl
 
 # tier1 is the full pre-merge gate: static checks, build, the whole test
 # suite under the race detector (including the internal/check concurrency
@@ -40,12 +40,10 @@ fuzz:
 
 # bench-smoke executes every (pipeline, variant) benchmark and every
 # partition-sweep cell once — a correctness smoke, not a measurement — and
-# checks the committed BENCH_exec.json still records every execution mode.
+# checks the committed BENCH_*.json artifacts against their schema.
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkPipelines|BenchmarkPartitionPipelines' -benchtime=1x ./internal/exec
-	@$(MAKE) --no-print-directory check-bench-exec
-	@$(MAKE) --no-print-directory check-bench-compress
-	@$(MAKE) --no-print-directory check-bench-repl
+	@$(MAKE) --no-print-directory check-bench
 
 # perfbench-test runs the tests of the repository benchmark's separate Go
 # module (perfbench/): a tiny-size smoke of every workload in both trace
@@ -55,14 +53,12 @@ bench-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test ./...
 
-# check-bench-exec fails unless BENCH_exec.json covers all three
-# planner-selectable execution modes (plus the unfused compiled ablation),
-# so the artifact cannot silently drop a mode when it is regenerated.
-check-bench-exec:
-	@for m in interpreted compiled_unfused compiled_fused vectorized; do \
-		grep -q "\"$$m\"" BENCH_exec.json || { echo "BENCH_exec.json missing mode: $$m"; exit 1; }; \
-	done
-	@echo "BENCH_exec.json covers all execution modes"
+# check-bench decodes every committed BENCH_*.json and fails unless each
+# records its host shape (gomaxprocs, num_cpu) and every mode, field, sweep
+# point and arm its schema lists (TestBenchArtifacts in internal/benchio),
+# so no artifact can silently lose coverage when it is regenerated.
+check-bench:
+	$(GO) test -count=1 -run '^TestBenchArtifacts$$' ./internal/benchio
 
 # bench-train times the offline training pipeline serially and at
 # increasing -j, verifies the runs digest identically, and records the
@@ -85,7 +81,7 @@ bench-drive:
 # missing from the artifact.
 bench-exec:
 	$(GO) run ./cmd/mb2-execbench -out BENCH_exec.json
-	@$(MAKE) --no-print-directory check-bench-exec
+	@$(MAKE) --no-print-directory check-bench
 
 # bench-partition sweeps the parallel scan and partition-wise join over a
 # partition-count × DOP grid, checks every cell's cardinalities against the
@@ -101,19 +97,7 @@ bench-partition:
 # fails if the artifact drops a required field.
 bench-server:
 	$(GO) run ./cmd/mb2-server -bench BENCH_server.json
-	@$(MAKE) --no-print-directory check-bench-server
-
-# check-bench-server fails unless BENCH_server.json records every field
-# the sweep is supposed to measure, so the artifact cannot silently lose
-# a metric when it is regenerated.
-check-bench-server:
-	@for f in gomaxprocs peak_sessions throughput_stmt_per_sec p50_us p99_us digest; do \
-		grep -q "\"$$f\"" BENCH_server.json || { echo "BENCH_server.json missing field: $$f"; exit 1; }; \
-	done
-	@for n in 100 1000 5000; do \
-		grep -q "\"sessions\": $$n" BENCH_server.json || { echo "BENCH_server.json missing sweep point: $$n sessions"; exit 1; }; \
-	done
-	@echo "BENCH_server.json covers all sweep points and fields"
+	@$(MAKE) --no-print-directory check-bench
 
 # bench-compress sweeps forecast+plan inference cost across template
 # populations (12 / 1k / 10k / 100k) with and without workload compression
@@ -123,22 +107,7 @@ check-bench-server:
 # artifact drops a sweep point or field.
 bench-compress:
 	$(GO) run ./cmd/mb2-drive -bench-compress BENCH_compress.json
-	@$(MAKE) --no-print-directory check-bench-compress
-
-# check-bench-compress fails unless BENCH_compress.json records every sweep
-# point at both compression settings and every measured field, so the
-# artifact cannot silently lose coverage when it is regenerated.
-check-bench-compress:
-	@for f in gomaxprocs clusters forecast_plan_us_per_interval ingest_us_per_interval volume_mape cache_evictions speedup_max_n; do \
-		grep -q "\"$$f\"" BENCH_compress.json || { echo "BENCH_compress.json missing field: $$f"; exit 1; }; \
-	done
-	@for n in 12 1000 10000 100000; do \
-		grep -q "\"templates\": $$n" BENCH_compress.json || { echo "BENCH_compress.json missing sweep point: $$n templates"; exit 1; }; \
-	done
-	@for c in true false; do \
-		grep -q "\"compressed\": $$c" BENCH_compress.json || { echo "BENCH_compress.json missing compression arm: $$c"; exit 1; }; \
-	done
-	@echo "BENCH_compress.json covers all sweep points and fields"
+	@$(MAKE) --no-print-directory check-bench
 
 # bench-repl sweeps deterministic failover drills over a replica-count ×
 # apply-staleness grid (killing the primary's log device at every strided
@@ -147,16 +116,4 @@ check-bench-compress:
 # max failover time, staleness, and the policy comparison as JSON.
 bench-repl:
 	$(GO) run ./cmd/mb2-drive -bench-repl BENCH_repl.json
-	@$(MAKE) --no-print-directory check-bench-repl
-
-# check-bench-repl fails unless BENCH_repl.json records every grid axis and
-# the promotion-policy comparison, so the artifact cannot silently lose
-# coverage when it is regenerated.
-check-bench-repl:
-	@for f in replicas apply_every mean_failover_us max_failover_us mean_pending_bytes predicted_beats_fixed predicted_promotions; do \
-		grep -q "\"$$f\"" BENCH_repl.json || { echo "BENCH_repl.json missing field: $$f"; exit 1; }; \
-	done
-	@for n in 1 2 3; do \
-		grep -q "\"replicas\": $$n" BENCH_repl.json || { echo "BENCH_repl.json missing grid row: $$n replicas"; exit 1; }; \
-	done
-	@echo "BENCH_repl.json covers the failover grid and policy comparison"
+	@$(MAKE) --no-print-directory check-bench

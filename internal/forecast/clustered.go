@@ -38,12 +38,6 @@ func NewClusteredHistory(intervalUS float64, maxIntervals int, c *Clusterer) *Hi
 	return h
 }
 
-// Clustered reports whether the history maintains cluster series.
-func (h *History) Clustered() bool { return h.clusterer != nil }
-
-// Clusterer returns the attached clusterer (nil for a plain history).
-func (h *History) Clusterer() *Clusterer { return h.clusterer }
-
 // appendClustered is Append's clustered path; the caller holds h.mu and
 // has already advanced h.intervals.
 func (h *History) appendClustered(counts map[string]float64) {

@@ -26,8 +26,9 @@ import (
 //
 // The CRC covers every semantic field, so a flip in type, epoch, offset, or
 // payload is detected; flips in length surface as a CRC mismatch or a
-// truncated frame. DecodeShipPrefix mirrors the WAL's tolerant parser: it
-// consumes the longest valid frame prefix and reports why it stopped.
+// truncated frame. DecodeShipFrame names the reason it rejects a frame, so
+// a reader walking a damaged stream keeps every frame before the damage, as
+// with the WAL's tolerant parser.
 const (
 	shipMagic   = 0xB5
 	shipVersion = 1
@@ -129,25 +130,6 @@ func DecodeShipFrame(b []byte) (ShipFrame, int, error) {
 		return ShipFrame{}, 0, ErrShipCRC
 	}
 	return f, total, nil
-}
-
-// DecodeShipPrefix parses the longest valid frame prefix of b: the tolerant
-// parser. It returns the decoded frames, the bytes consumed, and — when it
-// stopped early — the reason. Invariants (pinned by FuzzShipFrame): it never
-// panics, the consumed prefix re-encodes byte-identically, and a fully
-// consumed input round-trips frame for frame.
-func DecodeShipPrefix(b []byte) ([]ShipFrame, int, string) {
-	var frames []ShipFrame
-	consumed := 0
-	for consumed < len(b) {
-		f, n, err := DecodeShipFrame(b[consumed:])
-		if err != nil {
-			return frames, consumed, err.Error()
-		}
-		frames = append(frames, f)
-		consumed += n
-	}
-	return frames, consumed, ""
 }
 
 // WriteShipFrame writes one frame to w.

@@ -38,7 +38,7 @@ func TestShipFrameRoundTrip(t *testing.T) {
 	}
 
 	// Tolerant walk consumes everything without a stop reason.
-	parsed, consumed, reason := DecodeShipPrefix(stream)
+	parsed, consumed, reason := decodeShipPrefix(stream)
 	if consumed != len(stream) || reason != "" || len(parsed) != len(frames) {
 		t.Fatalf("prefix: %d frames, %d/%d bytes, reason %q",
 			len(parsed), consumed, len(stream), reason)
@@ -97,7 +97,7 @@ func TestShipFrameCorruption(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 		// The tolerant parser stops at the corruption with that reason.
-		frames, consumed, reason := DecodeShipPrefix(tc.buf)
+		frames, consumed, reason := decodeShipPrefix(tc.buf)
 		if len(frames) != 0 || consumed != 0 || reason != tc.want.Error() {
 			t.Errorf("%s: prefix = %d frames, %d bytes, %q", tc.name, len(frames), consumed, reason)
 		}

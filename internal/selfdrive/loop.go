@@ -10,12 +10,9 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
-	"mb2/internal/forecast"
 	"mb2/internal/hw"
 	"mb2/internal/modeling"
 	"mb2/internal/par"
-	"mb2/internal/plan"
-	"mb2/internal/planner"
 	"mb2/internal/session"
 	"mb2/internal/workload"
 )
@@ -277,8 +274,8 @@ func (r *Result) countKind(kind string) int {
 }
 
 // Run executes the closed loop against a fresh TPC-C database using the
-// trained models. See the package comment for the loop's phases and
-// determinism scheme.
+// trained models: it is the seeded workload driver of a Controller. See the
+// package comment for the loop's phases and determinism scheme.
 func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 	cfg = cfg.withDefaults()
 	knobs := catalog.DefaultKnobs()
@@ -294,22 +291,8 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 		return nil, fmt.Errorf("selfdrive: loading workload: %w", err)
 	}
 
-	p := planner.New(db, ms)
-	if cfg.CacheEntries > 0 {
-		p.Cache = modeling.NewBoundedPredictionCache(cfg.CacheEntries)
-	} else {
-		p.Cache = modeling.NewPredictionCache()
-	}
 	sc := newScenario(cfg)
-	var clusterer *forecast.Clusterer
-	var hist *forecast.History
-	if cfg.Clusters > 0 {
-		clusterer = forecast.NewClusterer(cfg.Clusters, cfg.ClusterTolerance)
-		hist = forecast.NewClusteredHistory(cfg.IntervalUS, cfg.HistoryWindow, clusterer)
-	} else {
-		hist = forecast.NewWindowedHistory(cfg.IntervalUS, cfg.HistoryWindow)
-	}
-	fc := forecast.Forecaster{Window: cfg.HistoryWindow}
+	ctrl := NewController(db, ms, cfg, sc.canonical)
 	machine := db.Machine
 	// The run's process list: every interval's workers are real sessions
 	// admitted here, and the loop drains its observations from it — the
@@ -318,16 +301,6 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 
 	res := &Result{}
 	digest := fnv.New64a()
-	var published []planner.IndexCandidate
-	var build *planner.BuildHandle
-	var predSeries, obsSeries []float64
-	predictedNext := 0.0
-	// Pending per-template volume predictions for the coming interval —
-	// either direct per-template forecasts, or per-cluster forecasts fanned
-	// out on arrival of the actuals (compression on). Feeds VolumeMAPE.
-	var pendingCounts map[string]float64
-	var pendingClusterPred []float64
-	var volPred, volObs []float64
 
 	for i := 0; i < cfg.Intervals; i++ {
 		ivStart := time.Now()
@@ -350,15 +323,15 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 				fmt.Sprintf("drive/interval-%d/session-%d", i, s))))
 			switch {
 			case sc.exploded():
-				sessions[s] = sc.sessionQueriesExploded(rng, i, published)
+				sessions[s] = sc.sessionQueriesExploded(rng, i, ctrl.published)
 			case cfg.LoadCurve != "" && cfg.LoadCurve != LoadFlat:
 				// Curve-modulated volume on the plain four-template mix.
 				curved := cfg
 				curved.QueriesPerSession = cfg.intervalQueries(i)
 				sessions[s] = sessionQueries(rng, curved,
-					customerCountOf(curved, i, curved.QueriesPerSession), published)
+					customerCountOf(curved, i, curved.QueriesPerSession), ctrl.published)
 			default:
-				sessions[s] = sessionQueries(rng, cfg, nCustomer, published)
+				sessions[s] = sessionQueries(rng, cfg, nCustomer, ctrl.published)
 			}
 		}
 		workers := make([]*session.Session, cfg.Sessions)
@@ -399,13 +372,8 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 		}
 
 		// Phase 2: whole-machine contention, including active build threads.
-		perThread := append([]hw.Metrics(nil), totals...)
-		var extraIdx []int
-		if build != nil {
-			work, idx := build.ActiveWork(cfg.IntervalUS)
-			perThread = append(perThread, work...)
-			extraIdx = idx
-		}
+		buildWork := ctrl.BuildWork()
+		perThread := append(append([]hw.Metrics(nil), totals...), buildWork...)
 		ratios := machine.ContentionRatios(perThread, cfg.IntervalUS)
 		var latSum float64
 		nq := 0
@@ -421,71 +389,37 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 		}
 
 		// Phase 3: drain the process list's observations (ascending
-		// session-ID merge — the serial-order reduction) into the windowed
-		// forecast store, then retire the interval's sessions.
+		// session-ID merge — the serial-order reduction) into the
+		// controller, then retire the interval's sessions.
 		merged := reg.DrainObservations()
-		if clusterer != nil {
-			sc.registerTemplates(clusterer, db, merged.Counts)
-		}
-		hist.Append(merged.Counts)
-		// Volume-MAPE accounting: score last interval's per-template volume
-		// predictions (cluster predictions fan out proportionally) against
-		// the counts that actually arrived.
-		if pendingClusterPred != nil || pendingCounts != nil {
-			names := sortedTemplates(merged.Counts)
-			fan := pendingCounts
-			if pendingClusterPred != nil {
-				fan = hist.FanOut(pendingClusterPred, names)
-			}
-			for _, name := range names {
-				volPred = append(volPred, fan[name])
-				volObs = append(volObs, merged.Counts[name])
-			}
-			pendingCounts, pendingClusterPred = nil, nil
-		}
+		ctrl.Ingest(merged.Counts)
 		for _, w := range workers {
 			w.Close()
 		}
 
-		// Phase 4: advance and maybe publish an in-progress build.
-		building := false
-		if build != nil {
-			for e, j := range extraIdx {
-				r := ratios[cfg.Sessions+e][hw.LabelElapsedUS]
-				if r > 0 {
-					build.Advance(j, cfg.IntervalUS/r)
-				}
-			}
-			if build.Done() {
-				if err := build.Publish(db); err != nil {
-					return nil, fmt.Errorf("selfdrive: publishing %s: %w", build.Candidate.Name, err)
-				}
-				published = append(published, build.Candidate)
-				res.Actions = append(res.Actions, AppliedAction{
-					Interval: i, Kind: "index-publish", Detail: build.Candidate.Name,
-				})
-				build = nil
-			} else {
-				building = true
-			}
+		// Phase 4: advance the in-progress build at the speed contention
+		// left its threads, and publish it when done.
+		slowdown := make([]float64, len(buildWork))
+		for e := range buildWork {
+			slowdown[e] = ratios[cfg.Sessions+e][hw.LabelElapsedUS]
+		}
+		building, err := ctrl.Advance(i, slowdown)
+		if err != nil {
+			return nil, err
 		}
 
 		rep := IntervalReport{
 			Interval: i, Queries: nq,
 			ObservedAvgLatencyUS:  observed,
-			PredictedAvgLatencyUS: predictedNext,
+			PredictedAvgLatencyUS: ctrl.Observe(observed),
 			Mode:                  mode,
 			Building:              building,
-			IndexLive:             len(published) > 0,
+			IndexLive:             len(ctrl.published) > 0,
 			DOP:                   dop,
 			Partitions:            normalizedParts(liveKnobs.PartitionCount),
 		}
-		if predictedNext > 0 {
-			predSeries = append(predSeries, predictedNext)
-			obsSeries = append(obsSeries, observed)
-		}
 
-		hashInterval(digest, i, merged.Counts, observed, mode, res.Actions)
+		hashInterval(digest, i, merged.Counts, observed, mode, ctrl.actions)
 
 		// Phase 4b: rehearse crash recovery on a sandboxed engine.
 		if cfg.CrashEvery > 0 && (i+1)%cfg.CrashEvery == 0 {
@@ -508,92 +442,17 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 		}
 
 		// Phase 5: forecast, plan, act, and predict the next interval.
-		predictedNext = 0
-		if hist.Len() >= 2 && i < cfg.Intervals-1 {
-			var f modeling.IntervalForecast
-			if clusterer != nil {
-				f, pendingClusterPred = buildForecastClustered(hist, fc, cfg, sc, published)
-			} else {
-				f, pendingCounts = buildForecast(hist, fc, cfg, sc, published)
-			}
-			if (i+1)%cfg.PlanEvery == 0 && len(f.Queries) > 0 {
-				actions, err := p.PlanActions(mode, f, planner.CandidateConfig{
-					ThreadCandidates:    cfg.ThreadCandidates,
-					MaxImpactRatio:      cfg.MaxImpactRatio,
-					PartitionCandidates: cfg.PartitionCandidates,
-					DOPCandidates:       cfg.DOPCandidates,
-				})
-				if err != nil {
-					return nil, err
-				}
-				for _, a := range actions {
-					if a.PredictedImprovement < cfg.MinImprovement {
-						break // sorted best-first: nothing further qualifies
-					}
-					if a.Kind == planner.ActionIndexBuild && build != nil {
-						continue // one build at a time
-					}
-					handle, err := p.Apply(a, nil)
-					if err != nil {
-						return nil, fmt.Errorf("selfdrive: applying %v: %w", a, err)
-					}
-					kind, detail := "mode-change", a.Mode.String()
-					switch a.Kind {
-					case planner.ActionIndexBuild:
-						kind = "index-build-start"
-						detail = fmt.Sprintf("%s threads=%d", a.Index.Name, a.Threads)
-						build = handle
-					case planner.ActionRepartition:
-						kind = "repartition"
-						detail = fmt.Sprintf("parts=%d", a.Partitions)
-					case planner.ActionSetDOP:
-						kind = "set-dop"
-						detail = fmt.Sprintf("dop=%d", a.DOP)
-					}
-					res.Actions = append(res.Actions, AppliedAction{
-						Interval: i, Kind: kind, Detail: detail,
-						PredictedImprovement: a.PredictedImprovement,
-					})
-					break // apply the winning action only
-				}
-			}
-			// Predict the coming interval with whatever is now in effect.
-			curMode := db.Knobs().ExecutionMode
-			tr := modeling.NewTranslator(db, curMode)
-			tr.Cache = p.Cache
-			var af *modeling.ActionForecast
-			if build != nil {
-				af = &modeling.ActionForecast{IndexBuild: &modeling.IndexBuildAction{
-					Table:   build.Candidate.Table,
-					KeyCols: build.Candidate.KeyColNames,
-					Threads: build.Threads,
-				}}
-			}
-			infStart := time.Now()
-			pred, err := ms.PredictInterval(tr, f, af)
-			if err != nil {
+		if i < cfg.Intervals-1 {
+			if err := ctrl.Step(i, cfg.Sessions, (i+1)%cfg.PlanEvery == 0); err != nil {
 				return nil, err
 			}
-			res.InferenceUS = append(res.InferenceUS, float64(time.Since(infStart).Microseconds()))
-			predictedNext = pred.AvgQueryLatencyUS
 		}
 
 		rep.WallUS = float64(time.Since(ivStart).Microseconds())
 		res.Intervals = append(res.Intervals, rep)
 	}
 
-	res.CacheHits, res.CacheMisses = p.Cache.Stats()
-	res.CacheHitRate = p.Cache.HitRate()
-	res.CacheEvictions = p.Cache.Evictions()
-	res.MAPE = forecast.MAPE(predSeries, obsSeries)
-	res.VolumeMAPE = forecast.MAPE(volPred, volObs)
-	res.HistoryEvicted = hist.Evicted()
-	if clusterer != nil {
-		res.TemplatesSeen = clusterer.Assigned()
-		res.Clusters = clusterer.Len()
-	} else {
-		res.TemplatesSeen = len(hist.Templates())
-	}
+	ctrl.report(res)
 	res.Digest = digest.Sum64()
 	return res, nil
 }
@@ -604,64 +463,6 @@ func normalizedParts(p int) int {
 		return 1
 	}
 	return p
-}
-
-// buildForecast converts the history's next-interval volume forecasts into
-// the inference pipeline's input, using the canonical per-template plans —
-// O(template population) per call. Also returns the per-template volume
-// predictions for MAPE accounting.
-func buildForecast(hist *forecast.History, fc forecast.Forecaster, cfg Config, sc *scenario, published []planner.IndexCandidate) (modeling.IntervalForecast, map[string]float64) {
-	reps := representatives(cfg, published)
-	predictions := fc.ForecastAll(hist, 1)
-	counts := make(map[string]float64, len(predictions))
-	for name, series := range predictions {
-		if len(series) > 0 {
-			counts[name] = series[0]
-		}
-	}
-	f := modeling.IntervalForecast{IntervalUS: cfg.IntervalUS, Threads: cfg.Sessions}
-	for _, name := range sortedTemplates(counts) {
-		rep, ok := reps[name]
-		if !ok {
-			// Outside the canonical four: an exploded variant (or unknown).
-			rep, ok = sc.repFor(name, published)
-		}
-		if !ok || counts[name] <= 0 {
-			continue
-		}
-		f.Queries = append(f.Queries, modeling.ForecastQuery{
-			Plan: rep, Count: counts[name], Fingerprint: plan.Fingerprint(rep),
-		})
-	}
-	return f, counts
-}
-
-// buildForecastClustered is buildForecast's workload-compression path:
-// forecasting runs once per cluster (O(K), independent of the template
-// population) and planning sees one entry per cluster — the leader's
-// representative plan carrying the members' summed predicted volume. The
-// returned per-cluster predictions fan back out to member templates when
-// the next interval's actuals arrive.
-func buildForecastClustered(hist *forecast.History, fc forecast.Forecaster, cfg Config, sc *scenario, published []planner.IndexCandidate) (modeling.IntervalForecast, []float64) {
-	c := hist.Clusterer()
-	preds := fc.ForecastClusters(hist, 1)
-	clusterNext := make([]float64, len(preds))
-	f := modeling.IntervalForecast{IntervalUS: cfg.IntervalUS, Threads: cfg.Sessions}
-	for id, series := range preds {
-		if len(series) == 0 || series[0] <= 0 {
-			continue
-		}
-		clusterNext[id] = series[0]
-		rep, ok := sc.repFor(c.Leader(id), published)
-		if !ok {
-			continue
-		}
-		f.Queries = append(f.Queries, modeling.ForecastQuery{
-			Plan: rep, Count: series[0], Fingerprint: plan.Fingerprint(rep),
-			Members: c.MemberCount(id),
-		})
-	}
-	return f, clusterNext
 }
 
 // hashInterval folds one interval's observable outcome into the run

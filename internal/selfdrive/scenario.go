@@ -5,15 +5,9 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
-	"mb2/internal/catalog"
-	"mb2/internal/engine"
-	"mb2/internal/forecast"
-	"mb2/internal/modeling"
-	"mb2/internal/ou"
 	"mb2/internal/plan"
 	"mb2/internal/planner"
 )
@@ -126,8 +120,10 @@ func scaleEstimates(n plan.Node, f float64) plan.Node {
 	}
 }
 
-// baseRep returns the canonical representative plan of a base template
-// (the same fixed-constant plans representatives() builds).
+// baseRep returns the canonical representative plan of a base template.
+// Fixed constants keep each template's fingerprint stable across
+// intervals, which is what makes the prediction cache effective;
+// predictions depend on the cardinality estimates, not the literal values.
 func (sc *scenario) baseRep(base string) plan.Node {
 	matches := float64(sc.cfg.CustomersPerDistrict) / tpccLastNames
 	switch base {
@@ -143,11 +139,10 @@ func (sc *scenario) baseRep(base string) plan.Node {
 	return nil
 }
 
-// repFor returns a template's representative plan rewritten through the
-// published indexes (nil, false for names outside the population). The
-// canonical plan is cached; the index rewrite is applied per call since
-// the published set grows over the run.
-func (sc *scenario) repFor(name string, published []planner.IndexCandidate) (plan.Node, bool) {
+// canonical returns a template's representative plan before any index
+// rewrite (nil, false for names outside the population): the plan source a
+// scenario-driven Controller forecasts with. Plans are memoized.
+func (sc *scenario) canonical(name string) (plan.Node, bool) {
 	rep, ok := sc.repCache[name]
 	if !ok {
 		base, ord := splitVariant(name)
@@ -160,7 +155,7 @@ func (sc *scenario) repFor(name string, published []planner.IndexCandidate) (pla
 		}
 		sc.repCache[name] = rep
 	}
-	return rewritePublished(rep, published), true
+	return rep, true
 }
 
 // pickVariant draws a variant ordinal for a base: min-of-two draws skews
@@ -253,45 +248,4 @@ func customerCountOf(cfg Config, i, volume int) int {
 		n = volume
 	}
 	return n
-}
-
-// clusterFeatures folds a representative plan's translated OU invocations
-// into a fixed-length feature vector — per OU kind, the invocation count
-// and the summed feature mass — the similarity key the clusterer groups
-// templates by. Mode is pinned to Interpret so cluster identity never
-// depends on the live execution-mode knob.
-func clusterFeatures(db *engine.DB, n plan.Node) []float64 {
-	tr := modeling.NewTranslator(db, catalog.Interpret)
-	vec := make([]float64, 2*ou.NumKinds)
-	for _, inv := range tr.TranslatePlan(n) {
-		k := int(inv.Kind)
-		if k < 0 || k >= ou.NumKinds {
-			continue
-		}
-		vec[2*k]++
-		for _, f := range inv.Features {
-			vec[2*k+1] += f
-		}
-	}
-	return vec
-}
-
-// registerTemplates assigns any unregistered observed template to a
-// cluster, in sorted-name order so founding decisions are deterministic.
-// Only the new names are sorted: O(new·log new), not the population.
-func (sc *scenario) registerTemplates(c *forecast.Clusterer, db *engine.DB, counts map[string]float64) {
-	var fresh []string
-	for name := range counts {
-		if _, ok := c.Lookup(name); !ok {
-			fresh = append(fresh, name)
-		}
-	}
-	sort.Strings(fresh)
-	for _, name := range fresh {
-		if rep, ok := sc.repFor(name, nil); ok {
-			c.Assign(name, plan.Fingerprint(rep), clusterFeatures(db, rep))
-		} else {
-			c.AssignOrphan(name)
-		}
-	}
 }

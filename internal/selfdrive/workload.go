@@ -145,26 +145,6 @@ func sessionQueries(rng *rand.Rand, cfg Config, nCustomer int, published []plann
 	return out
 }
 
-// representatives returns one canonical plan per template (fixed
-// constants), rewritten through the published indexes: the plans the
-// forecast-driven inference predicts with. Fixed constants keep each
-// template's fingerprint stable across intervals, which is what makes the
-// prediction cache effective; predictions depend on the cardinality
-// estimates, not the literal values.
-func representatives(cfg Config, published []planner.IndexCandidate) map[string]plan.Node {
-	matches := float64(cfg.CustomersPerDistrict) / tpccLastNames
-	reps := map[string]plan.Node{
-		tmplOrdersPoint:    ordersPoint(0, 0, 0),
-		tmplStockLevel:     stockLevel(0, 0, 0),
-		tmplCustomerByLast: customerByLast(0, 0, 0, matches),
-		tmplOrderlineScan:  orderlineScan(5, orderlineRows(cfg)),
-	}
-	for name, n := range reps {
-		reps[name] = rewritePublished(n, published)
-	}
-	return reps
-}
-
 // sortedTemplates returns the template names of a count map, sorted.
 func sortedTemplates(counts map[string]float64) []string {
 	out := make([]string, 0, len(counts))

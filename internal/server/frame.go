@@ -20,9 +20,9 @@ import (
 //
 // The CRC covers the type byte so a bit flip anywhere in type or payload
 // is detected; flips in length surface as either a CRC mismatch or a
-// truncated frame. DecodePrefix mirrors the WAL's tolerant parser: it
-// consumes the longest valid frame prefix and reports why it stopped,
-// so a torn or corrupted stream loses only its tail.
+// truncated frame. DecodeFrame names the reason it rejects a frame, so a
+// reader walking a torn or corrupted stream keeps every frame before the
+// damage and loses only its tail, as with the WAL's tolerant parser.
 const (
 	frameMagic   = 0xB2
 	frameVersion = 1
@@ -98,25 +98,6 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 		return Frame{}, 0, ErrFrameCRC
 	}
 	return Frame{Type: b[2], Payload: payload}, total, nil
-}
-
-// DecodePrefix parses the longest valid frame prefix of b: the tolerant
-// parser. It returns the decoded frames, the bytes consumed, and — when
-// it stopped early — the reason. Invariants (pinned by FuzzFrame): it
-// never panics, the consumed prefix re-encodes byte-identically, and a
-// fully consumed input round-trips frame for frame.
-func DecodePrefix(b []byte) ([]Frame, int, string) {
-	var frames []Frame
-	consumed := 0
-	for consumed < len(b) {
-		f, n, err := DecodeFrame(b[consumed:])
-		if err != nil {
-			return frames, consumed, err.Error()
-		}
-		frames = append(frames, f)
-		consumed += n
-	}
-	return frames, consumed, ""
 }
 
 // WriteFrame writes one frame to w.

@@ -92,7 +92,7 @@ func TestDecodePrefixStopsAtCorruption(t *testing.T) {
 	buf = AppendFrame(buf, Frame{Type: MsgClose})
 	buf[cut+HeaderSize-1] ^= 0xFF // corrupt the third frame's CRC
 
-	frames, consumed, reason := DecodePrefix(buf)
+	frames, consumed, reason := decodePrefix(buf)
 	if len(frames) != 2 || consumed != cut {
 		t.Fatalf("got %d frames, %d consumed; want 2 frames, %d", len(frames), consumed, cut)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzFrame throws arbitrary bytes at the wire-frame parsers, mirroring
-// FuzzWALDeserialize. Invariants: DecodePrefix never panics, consumed
+// FuzzWALDeserialize. Invariants: decodePrefix never panics, consumed
 // stays in bounds, a partial prefix always carries a reason, the
 // consumed prefix re-encodes byte-identically, and DecodeFrame agrees
 // frame-for-frame with the tolerant walk.
@@ -20,7 +20,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Type: MsgProcs, Payload: []byte{0, 0, 0, 0}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, consumed, reason := DecodePrefix(data)
+		frames, consumed, reason := decodePrefix(data)
 		if consumed < 0 || consumed > len(data) {
 			t.Fatalf("consumed %d of %d", consumed, len(data))
 		}
@@ -55,4 +55,23 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("re-encoding differs: %d vs %d bytes", len(rebuilt), consumed)
 		}
 	})
+}
+
+// decodePrefix parses the longest valid frame prefix of b: the tolerant
+// parser. It returns the decoded frames, the bytes consumed, and — when
+// it stopped early — the reason. Invariants (pinned by FuzzFrame): it
+// never panics, the consumed prefix re-encodes byte-identically, and a
+// fully consumed input round-trips frame for frame.
+func decodePrefix(b []byte) ([]Frame, int, string) {
+	var frames []Frame
+	consumed := 0
+	for consumed < len(b) {
+		f, n, err := DecodeFrame(b[consumed:])
+		if err != nil {
+			return frames, consumed, err.Error()
+		}
+		frames = append(frames, f)
+		consumed += n
+	}
+	return frames, consumed, ""
 }

@@ -69,13 +69,6 @@ func (s *Session) Lookup(name string) *Prepared {
 	return s.prepared[name]
 }
 
-// PreparedCount returns the number of cached prepared statements.
-func (s *Session) PreparedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.prepared)
-}
-
 // Replans returns how many times the statement was replanned after a
 // ConfigVersion move (0 while the cached plan has stayed valid).
 func (p *Prepared) Replans() int { return p.replans }
